@@ -86,70 +86,14 @@ type PayloadHandler interface {
 	HandlePayload(arg uint64, p Payload)
 }
 
-// xitem is a scheduled payload event on a shard's payload heap. The
-// payload heap shares its shard's sequence counter with the main event
-// heap, so the merged dispatch order over both heaps is total and
+// xitem is a queued payload event. It shares its shard's sequence
+// counter with local items, so the merged dispatch order is total and
 // stable.
 type xitem struct {
-	at   Time
-	seq  uint64
 	h    PayloadHandler
 	arg  uint64
 	p    Payload
 	flow uint64 // causal trace ID (trace.go); read only at dispatch
-}
-
-// payloadHeap is a binary min-heap of xitems ordered by (at, seq); the
-// sifts are hand-rolled for the same reason eventHeap's are.
-type payloadHeap []xitem
-
-func (h payloadHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-//qcdoc:noalloc
-func (h *payloadHeap) push(it xitem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			return
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//qcdoc:noalloc
-func (h *payloadHeap) pop() xitem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = xitem{}
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return top
-		}
-		child := l
-		if r := l + 1; r < n && s.less(r, l) {
-			child = r
-		}
-		if !s.less(child, i) {
-			return top
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
 }
 
 // xmsg is one cross-shard message parked in a mailbox between the
@@ -231,7 +175,7 @@ func Clusterize(host *Engine, n, workers int, lookahead Time) *Cluster {
 	if host.cluster != nil {
 		panic("event: engine is already clustered")
 	}
-	if len(host.events) != 0 || host.now != 0 {
+	if host.q.n != 0 || host.now != 0 {
 		panic("event: Clusterize needs a fresh engine")
 	}
 	if n < 1 {
@@ -345,7 +289,7 @@ func (c *Cluster) alignClocks(t Time) {
 	}
 }
 
-// drainMail empties every mailbox into its destination shard's heaps.
+// drainMail empties every mailbox into its destination shard's queue.
 // Serial (barrier) context only. The sweep order — destination major,
 // source minor, send order within a mailbox — fixes the sequence
 // numbers the destination assigns, making the merge deterministic.
@@ -355,11 +299,10 @@ func (c *Cluster) drainMail() {
 			mb := &c.mail[si][di]
 			for k := range mb.msgs {
 				m := &mb.msgs[k]
-				dst.seq++
 				if m.h != nil {
-					dst.xevents.push(xitem{at: m.at, seq: dst.seq, h: m.h, arg: m.arg, p: m.p, flow: m.flow})
+					*enqueue(dst, &dst.q.xitems, m.at, xslot) = xitem{h: m.h, arg: m.arg, p: m.p, flow: m.flow}
 				} else {
-					dst.events.push(item{at: m.at, seq: dst.seq, fn: m.fn, flow: m.flow})
+					*enqueue(dst, &dst.q.items, m.at, 0) = item{h: funcEvent(m.fn), flow: m.flow}
 				}
 				c.stats.CrossMessages++
 				mb.msgs[k] = xmsg{} // release closure/handler references
@@ -382,8 +325,8 @@ func (c *Cluster) run(until Time) error {
 		}
 		tmin := Forever
 		for _, s := range c.shards {
-			if t, ok := s.peekTime(); ok && t < tmin {
-				tmin = t
+			if b := s.q.next(); b >= 0 && s.q.top[b].at < tmin {
+				tmin = s.q.top[b].at
 			}
 		}
 		g := c.peekGlobal()
@@ -509,7 +452,7 @@ func (c *Cluster) waitWorkers() {
 
 // worker is one pool goroutine: parked on wake between runs, spinning
 // on the round counter within a run, executing its statically assigned
-// shards each round. Static shard assignment means a shard's heaps are
+// shards each round. Static shard assignment means a shard's queue is
 // only ever touched by one goroutine per window, with the round/done
 // atomics providing the happens-before edges to the master.
 func (c *Cluster) worker(id int) {
@@ -569,67 +512,39 @@ func (e *Engine) Cluster() *Cluster { return e.cluster }
 // ShardID returns this engine's shard index (0 when unclustered).
 func (e *Engine) ShardID() int { return e.shard }
 
-// peekTime returns the earliest queued event time over both heaps.
-func (e *Engine) peekTime() (Time, bool) {
-	switch {
-	case len(e.events) == 0 && len(e.xevents) == 0:
-		return 0, false
-	case len(e.events) == 0:
-		return e.xevents[0].at, true
-	case len(e.xevents) == 0:
-		return e.events[0].at, true
-	case e.xevents[0].at < e.events[0].at ||
-		(e.xevents[0].at == e.events[0].at && e.xevents[0].seq < e.events[0].seq):
-		return e.xevents[0].at, true
-	default:
-		return e.events[0].at, true
-	}
-}
-
-// dispatchNext pops and executes the earliest event across both heaps.
-// The heaps share one sequence counter, so (at, seq) totally orders the
-// merge.
+// dispatch pops and executes the head event of queue source b, the one
+// eventQueue.next picked. Local and payload items share one sequence counter,
+// so (at, seq) totally orders them.
+//
 //qcdoc:noalloc
-func (e *Engine) dispatchNext() {
-	fromX := false
-	if len(e.events) == 0 {
-		fromX = true
-	} else if len(e.xevents) != 0 {
-		if e.xevents[0].at < e.events[0].at ||
-			(e.xevents[0].at == e.events[0].at && e.xevents[0].seq < e.events[0].seq) {
-			fromX = true
-		}
-	}
-	if fromX {
-		x := e.xevents.pop()
-		e.now = x.at
-		e.executed++
-		e.curFlow = x.flow
-		e.lastSeq = x.seq
-		if e.tracer != nil {
-			e.tracer(x.at)
-		}
+func (e *Engine) dispatch(b int) {
+	slot := e.q.pop(b)
+	e.executed++
+	if slot&xslot != 0 {
+		st, x := e.q.xitems.take(slot &^ xslot)
+		e.begin(st, x.flow)
 		if e.ring != nil {
-			e.ring.recordPayload(x.at, x.seq, x.flow, x.h, x.arg)
+			e.ring.recordPayload(st.at, st.seq, x.flow, x.h, x.arg)
 		}
 		x.h.HandlePayload(x.arg, x.p)
 		return
 	}
-	next := e.events.pop()
-	e.now = next.at
-	e.executed++
-	e.curFlow = next.flow
-	e.lastSeq = next.seq
-	if e.tracer != nil {
-		e.tracer(next.at)
-	}
+	st, it := e.q.items.take(slot)
+	e.begin(st, it.flow)
 	if e.ring != nil {
-		e.ring.record(next.at, next.seq, next.flow, next.fn, next.h, next.arg)
+		e.ring.record(st.at, st.seq, it.flow, it.h, it.arg)
 	}
-	if next.fn != nil {
-		next.fn()
-	} else {
-		next.h.HandleEvent(next.arg)
+	it.h.HandleEvent(it.arg)
+}
+
+// begin makes the event stamped st, of causal flow flow, the current
+// one.
+//
+//qcdoc:noalloc
+func (e *Engine) begin(st stamp, flow uint64) {
+	e.now, e.lastSeq, e.curFlow = st.at, st.seq, flow
+	if e.tracer != nil {
+		e.tracer(st.at)
 	}
 }
 
@@ -638,11 +553,14 @@ func (e *Engine) dispatchNext() {
 // different shards; everything it touches is shard-local.
 func (e *Engine) runWindow(wend, until Time) {
 	for {
-		t, ok := e.peekTime()
-		if !ok || t >= wend || t > until {
+		b := e.q.next()
+		if b < 0 {
 			return
 		}
-		e.dispatchNext()
+		if t := e.q.top[b].at; t >= wend || t > until {
+			return
+		}
+		e.dispatch(b)
 	}
 }
 
@@ -683,8 +601,7 @@ func (e *Engine) CrossPayload(dst Scheduler, t Time, h PayloadHandler, arg uint6
 		if t < e.now {
 			t = e.now
 		}
-		e.seq++
-		e.xevents.push(xitem{at: t, seq: e.seq, h: h, arg: arg, p: p, flow: e.curFlow})
+		*enqueue(e, &e.q.xitems, t, xslot) = xitem{h: h, arg: arg, p: p, flow: e.curFlow}
 		return
 	}
 	if d.cluster != e.cluster {

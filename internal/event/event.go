@@ -85,74 +85,22 @@ type Handler interface {
 	HandleEvent(arg uint64)
 }
 
-// An item in the event queue: either a closure (fn) or a pre-bound
-// handler invocation (h, arg) when fn is nil. flow is the causal trace
-// ID inherited from the event that scheduled this one (trace.go); it
-// rides in the queue either way and is only ever read at dispatch, so
-// it cannot perturb event order.
+// An item in the event queue: a pre-bound handler invocation (h, arg),
+// or a closure wrapped as a funcEvent. flow is the causal trace ID
+// inherited from the event that scheduled this one (trace.go); it rides
+// in the queue either way and is only ever read at dispatch, so it
+// cannot perturb event order.
 type item struct {
-	at   Time
-	seq  uint64 // stable FIFO order among simultaneous events
-	fn   func()
 	h    Handler
 	arg  uint64
 	flow uint64
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq). The sift
-// operations are hand-rolled rather than container/heap because
-// heap.Push boxes each item into an interface — a heap allocation per
-// scheduled event, which the allocation-free frame path cannot afford.
-type eventHeap []item
+// funcEvent queues a closure as a Handler. A func value is one pointer
+// word, so the conversion to Handler allocates nothing.
+type funcEvent func()
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-//qcdoc:noalloc
-func (h *eventHeap) push(it item) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			return
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//qcdoc:noalloc
-func (h *eventHeap) pop() item {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = item{} // release fn/handler references
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return top
-		}
-		child := l
-		if r := l + 1; r < n && s.less(r, l) {
-			child = r
-		}
-		if !s.less(child, i) {
-			return top
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
-}
+func (f funcEvent) HandleEvent(uint64) { f() }
 
 // Engine is a discrete-event scheduler. All simulation activity —
 // scheduled callbacks and process resumptions — runs on the goroutine
@@ -161,7 +109,7 @@ func (h *eventHeap) pop() item {
 // concurrently and shared simulator state needs no locks.
 type Engine struct {
 	now        Time
-	events     eventHeap
+	q          eventQueue // local and cross-shard payload events (queue.go)
 	seq        uint64
 	park       chan struct{} // a process signals here when it yields or exits
 	live       int           // processes that have started and not finished
@@ -189,7 +137,6 @@ type Engine struct {
 	// An unclustered engine is its own shard 0.
 	cluster *Cluster
 	shard   int
-	xevents payloadHeap // cross-shard payload events, merged by (at, seq)
 }
 
 // New creates an engine with the clock at zero.
@@ -209,8 +156,8 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	e.events.push(item{at: t, seq: e.seq, fn: fn, flow: e.curFlow})
+	it := enqueue(e, &e.q.items, t, 0)
+	it.h, it.flow = funcEvent(fn), e.curFlow
 }
 
 // After schedules fn to run d from now.
@@ -224,8 +171,21 @@ func (e *Engine) AtHandler(t Time, h Handler, arg uint64) {
 	if t < e.now {
 		t = e.now
 	}
+	it := enqueue(e, &e.q.items, t, 0)
+	it.h, it.arg, it.flow = h, arg, e.curFlow
+}
+
+// enqueue queues an event at time t under the next sequence number, in
+// slab sl of e's queue (tag is xslot for the payload slab), and returns
+// it for the caller to fill.
+//
+//qcdoc:noalloc
+func enqueue[T any](e *Engine, sl *slab[T], t Time, tag uint32) *T {
 	e.seq++
-	e.events.push(item{at: t, seq: e.seq, h: h, arg: arg, flow: e.curFlow})
+	st := stamp{t, e.seq}
+	slot, ev := sl.alloc(st)
+	e.q.push(e.now, st, slot|tag)
+	return ev
 }
 
 // NewFlow mints a fresh causal-trace ID, unique per shard and stable
@@ -310,8 +270,8 @@ func (e *Engine) Run(until Time) error {
 func (e *Engine) runLocal(until Time) error {
 	e.stopped = false
 	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok {
+		b := e.q.next()
+		if b < 0 {
 			names := make([]string, 0, len(e.blocked))
 			for p, what := range e.blocked {
 				if !p.daemon {
@@ -324,11 +284,11 @@ func (e *Engine) runLocal(until Time) error {
 			}
 			return nil
 		}
-		if t > until {
+		if e.q.top[b].at > until {
 			e.now = until
 			return nil
 		}
-		e.dispatchNext()
+		e.dispatch(b)
 	}
 	return nil
 }
@@ -339,10 +299,10 @@ func (e *Engine) RunAll() error { return e.Run(Forever) }
 // Pending reports the number of queued events. On the host shard of a
 // cluster it sums every shard's queues (barrier-serial contexts only).
 func (e *Engine) Pending() int {
-	n := len(e.events) + len(e.xevents)
+	n := e.q.n
 	if e.cluster != nil && e.shard == 0 {
 		for _, s := range e.cluster.shards[1:] {
-			n += len(s.events) + len(s.xevents)
+			n += s.q.n
 		}
 	}
 	return n
@@ -664,6 +624,7 @@ func (q *Queue[T]) TryGet() (T, bool) {
 		return zero, false
 	}
 	item := q.items[0]
+	q.items[0] = zero // drop the queue's reference to the delivered item
 	q.items = q.items[1:]
 	return item, true
 }

@@ -115,7 +115,7 @@ type shardRing struct {
 // record stores one dispatch into the ring. Called from the dispatch
 // loop with the item by value so nothing escapes to the heap.
 //qcdoc:noalloc
-func (sr *shardRing) record(at Time, seq, flow uint64, fn func(), h Handler, arg uint64) {
+func (sr *shardRing) record(at Time, seq, flow uint64, h Handler, arg uint64) {
 	slot := &sr.ring[sr.total%uint64(len(sr.ring))]
 	slot.At = at
 	slot.Seq = seq
@@ -124,7 +124,7 @@ func (sr *shardRing) record(at Time, seq, flow uint64, fn func(), h Handler, arg
 	slot.Flow = flow
 	slot.ph = nil
 	slot.name = ""
-	if fn != nil {
+	if _, ok := h.(funcEvent); ok {
 		slot.Kind = TraceFunc
 		slot.h = nil
 	} else {

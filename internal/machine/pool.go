@@ -10,7 +10,7 @@ import (
 
 // Pool recycles the expensive per-machine allocations across machine
 // lifetimes so a fleet building and tearing down hundreds of machines
-// doesn't thrash the allocator: event-engine heap storage (the timer
+// doesn't thrash the allocator: event-queue storage (the timer
 // arena), HSSL in-flight frame rings, and — shared rather than
 // recycled — the shard plan for a given topology, which is a pure
 // function of (Shape, Shards) and therefore immutable and safe for any
@@ -61,7 +61,7 @@ func NewPool() *Pool {
 	return &Pool{plans: make(map[planKey][]int)}
 }
 
-// NewEngine returns a fresh event engine, reusing pooled heap storage
+// NewEngine returns a fresh event engine, reusing pooled queue storage
 // when available. With a nil pool it is event.New.
 func (p *Pool) NewEngine() *event.Engine {
 	if p == nil {
@@ -82,10 +82,10 @@ func (p *Pool) NewEngine() *event.Engine {
 }
 
 // Reclaim takes back a finished machine's recyclable storage: the
-// engine's heap arrays and every wire's in-flight ring. The engine must
+// engine's event-queue storage and every wire's in-flight ring. The engine must
 // already be shut down, and neither it nor the machine may be used
 // afterwards. Shard engines built by Clusterize keep their storage (the
-// cluster owns them); only the host engine's arrays are pooled. Nil
+// cluster owns them); only the host engine's storage is pooled. Nil
 // pool, engine, or machine are all no-ops — except that the machine's
 // telemetry registry is always cleared, pool or no pool, so teardown
 // never leaves emit closures of a dead machine registered anywhere.
