@@ -143,7 +143,10 @@ chaos-storm:
 # second leg is the chaos-storm campaign (DESIGN.md §16): the compound
 # second-order preset across four seeds, where some runs survive by
 # climbing the recovery ladder and some exhaust it with a typed error —
-# both outcomes digest-verified serially.
+# both outcomes digest-verified serially. The third leg solves with every
+# operator — Wilson, clover, ASQTAD and domain-wall — so each one's halo
+# exchange runs concurrently over a shared pool and is digest-checked
+# against a serial re-run.
 fleet:
 	$(GO) run ./cmd/qcdoc fleet -machine 2,2 \
 		-lattices '4,4,4,4;8,4,4,4' \
@@ -151,6 +154,8 @@ fleet:
 		-workers 8 -verify -quiet
 	$(GO) run ./cmd/qcdoc fleet -machine 2,2,2 -lattices '4,4,4,4' \
 		-storm -faultseeds 1,16,19,23 -workers 8 -verify -quiet
+	$(GO) run ./cmd/qcdoc fleet -machine 2,2 -lattices '8,8,4,4' \
+		-ops wilson,clover,asqtad,dwf -workers 4 -verify -quiet
 
 # Observability gate: run an observed solve campaign behind the live
 # /metrics /trace /fleet service, scrape our own endpoints, then re-run

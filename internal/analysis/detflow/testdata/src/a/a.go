@@ -26,6 +26,12 @@ func mapSchedules(eng *event.Engine, m map[string]int) {
 	}
 }
 
+func mapQueues(q *event.Queue, m map[int]int) {
+	for _, v := range m { // want `iteration over map m is unordered but the body schedules events \(Put\)`
+		q.Put(v)
+	}
+}
+
 func mapAppends(m map[string]int, log []string) []string {
 	for k := range m { // want `iteration over map m is unordered but the body appends to ordered output \(log\)`
 		log = append(log, k)
@@ -171,6 +177,17 @@ func sortedKeys(eng *event.Engine, m map[string]int) {
 	for i := range keys {
 		eng.At(event.Time(i), func() {})
 	}
+}
+
+// collectThenSort appends in map order, then sorts before anyone reads
+// the output.
+func collectThenSort(m map[string]int) []string {
+	var names []string
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // localAppend's target dies inside the loop body; nothing outlives the

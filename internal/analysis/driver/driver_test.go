@@ -58,8 +58,10 @@ func TestUnknownMarkerFails(t *testing.T) {
 	if exit != 1 {
 		t.Fatalf("unknown fixture: exit %d (want 1), output:\n%s", exit, out)
 	}
-	if !strings.Contains(out, "unknown marker") {
-		t.Fatalf("unknown fixture: missing unknown-marker finding:\n%s", out)
+	for _, m := range []string{"detrflow-ok", "unordered-ok"} {
+		if !strings.Contains(out, "unknown marker //qcdoclint:"+m) {
+			t.Fatalf("unknown fixture: missing unknown-marker finding for %s:\n%s", m, out)
+		}
 	}
 }
 

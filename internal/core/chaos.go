@@ -39,7 +39,6 @@ import (
 	"qcdoc/internal/machine"
 	"qcdoc/internal/node"
 	"qcdoc/internal/qdaemon"
-	"qcdoc/internal/qmp"
 	"qcdoc/internal/qos"
 	"qcdoc/internal/solver"
 	"qcdoc/internal/telemetry"
@@ -298,20 +297,12 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 	d := qdaemon.New(eng, m)
 	d.FS = fs
 
-	dec := lay.Dec
 	res.solution = lattice.NewFermionField(cfg.Global)
 	errs := make([]error, shape.Volume())
 	prog := fmt.Sprintf("chaos-wilson-a%d", attempt)
+	ds := wilsonSolve(prog, gauge, cfg.Mass, fermion.Double)
 	d.LoadProgram(prog, func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
-			comm := qmp.New(ctx, lay.Fold)
-			gc := GridCoord(comm.Coord())
-			localG := ScatterGauge(gauge, dec, gc)
-			localB := ScatterFermion(b, dec, gc)
-			dw := NewDistWilson(ctx, comm, dec, localG, cfg.Mass, fermion.Double)
-			ss := DistSpace(ctx, comm, dec, fermion.WilsonKind, fermion.Double)
-			sp := distSpinorSpace(ss)
-			x := ScatterFermion(rst.x0, dec, gc) // warm restart from the restored iterate
 			k := qos.FromCtx(ctx)
 			ck := solver.Checkpoint[*lattice.FermionField]{
 				Every: cfg.CheckpointEvery,
@@ -337,9 +328,9 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 					}
 				},
 			}
-			r, err := solver.CGNECheckpointed(sp, dw.Apply, dw.ApplyDag, x, localB, cfg.Tol, cfg.MaxIter, ck)
+			// Warm restart from the restored iterate.
+			r, err := ds.solveRank(ctx, lay, fermion.Double, b, rst.x0, res.solution, cfg.Tol, cfg.MaxIter, ck)
 			errs[rank] = err
-			GatherFermion(res.solution, dec, gc, x)
 			if rank == 0 {
 				res.met.Iterations = r.Iterations
 				res.met.RelResidual = r.RelResidual

@@ -3,168 +3,112 @@ package core
 import (
 	"fmt"
 
-	"qcdoc/internal/event"
 	"qcdoc/internal/fermion"
-	"qcdoc/internal/geom"
 	"qcdoc/internal/latmath"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/node"
 	"qcdoc/internal/ppc440"
 	"qcdoc/internal/qmp"
-	"qcdoc/internal/scu"
 )
 
-// DistWilson is the distributed Wilson Dirac operator running on one
-// node of the machine. Boundary spin-projected half spinors travel
-// through the SCU as in the hand-tuned production code: the low face is
-// projected with (1-γ_mu) and sent backward (the receiver applies its
-// own gauge link); the high face is projected with (1+γ_mu), multiplied
-// by U†, and sent forward (the sender applies the link). Twelve complex
-// numbers per face site per direction — exactly the cost model's comm
+// wilsonHop is the distributed Wilson hopping term on Ls fifth-dimension
+// slices (one for the 4-D operators): the part DistWilson, clover and
+// DistDWF share. Boundary spin-projected half spinors travel through the
+// SCU as in the hand-tuned production code: the low face is projected
+// with (1-γ_mu) and sent backward (the receiver applies its own gauge
+// link); the high face is projected with (1+γ_mu), multiplied by U†, and
+// sent forward (the sender applies the link). Twelve complex numbers per
+// face site per direction per slice — exactly the cost model's comm
 // volume.
 //
 // While the real data moves, the node's CPU model is charged the
-// operator's per-site kernel cost, so simulated time reflects both
-// compute and communication, overlapped as on the real machine (the DMA
-// engines run while the CPU works the volume).
-type DistWilson struct {
-	ctx  *node.Ctx
-	comm *qmp.Comm
+// operator's volume kernel cost, so simulated time reflects both compute
+// and communication, overlapped as on the real machine (the DMA engines
+// run while the CPU works the volume).
+type wilsonHop struct {
 	dec  lattice.Decomp
-	grid lattice.Site
 	G    *lattice.GaugeField
-	Mass float64
-
-	// Timing.
-	siteCost ppc440.KernelCost
-	timing   bool
-
-	// Per (mu, end) comm plumbing: face site lists and node-memory
-	// buffers (12 words per face site).
-	faces    [lattice.Ndim][2][]int
-	sendAddr [lattice.Ndim][2]uint64
-	recvAddr [lattice.Ndim][2]uint64
-
-	// Unpacked ghosts.
-	ghostFwd [lattice.Ndim][]latmath.HalfSpinor // ψ(x+mu) projected (1-γ), link applied by us
-	ghostBwd [lattice.Ndim][]latmath.HalfSpinor // U†(1+γ)ψ(x-mu), link applied by sender
+	halo *haloExchanger[latmath.HalfSpinor]
+	ls   int
+	// tmp and mid are applyDag's scratch fields.
+	tmp, mid []latmath.Spinor
 }
 
-// NewDistWilson builds the operator on one node. localGauge is the
-// node's sub-volume of the configuration (normally produced by
-// ScatterGauge).
-func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, localGauge *lattice.GaugeField, mass float64, prec fermion.Precision) *DistWilson {
-	d := &DistWilson{
-		ctx:  ctx,
-		comm: comm,
-		dec:  dec,
-		grid: GridCoord(comm.Coord()),
-		G:    localGauge,
-		Mass: mass,
-	}
+func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, localGauge *lattice.GaugeField, ls int, charge ppc440.KernelCost) wilsonHop {
 	if localGauge.L != dec.Local {
 		panic(fmt.Sprintf("core: local gauge %v does not match decomposition %v", localGauge.L, dec.Local))
 	}
-	level := fermion.WorkingSetLevel(fermion.WilsonKind, prec, dec.LocalVolume())
-	d.siteCost = fermion.SiteCost(fermion.WilsonKind, prec, level)
-	d.timing = true
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		if dec.Grid[mu] == 1 {
-			continue
-		}
-		fv := lattice.FaceVolume(dec.Local, mu)
-		words := fv * latmath.HalfSpinorWords
-		for end := 0; end < 2; end++ {
-			d.faces[mu][end] = lattice.FaceSites(dec.Local, mu, end)
-			d.sendAddr[mu][end] = ctx.N.AllocWords(words)
-			d.recvAddr[mu][end] = ctx.N.AllocWords(words)
-		}
-		d.ghostFwd[mu] = make([]latmath.HalfSpinor, fv)
-		d.ghostBwd[mu] = make([]latmath.HalfSpinor, fv)
+	n := ls * dec.LocalVolume()
+	return wilsonHop{
+		dec:  dec,
+		G:    localGauge,
+		halo: newHaloExchanger(ctx, comm, dec, 1, ls, latmath.HalfSpinorWords, latmath.PackHalfSpinor, latmath.UnpackHalfSpinor, charge),
+		ls:   ls,
+		tmp:  make([]latmath.Spinor, n),
+		mid:  make([]latmath.Spinor, n),
 	}
-	return d
 }
 
-// SetTiming enables or disables charging the CPU model (packing-only
-// verification runs disable it).
-func (d *DistWilson) SetTiming(on bool) { d.timing = on }
+// exchange ships the projected faces of every slice of src.
+func (w *wilsonHop) exchange(src []latmath.Spinor) {
+	l := w.dec.Local
+	v4 := l.Volume()
+	w.halo.exchange(func(mu, end, s, _, i int) latmath.HalfSpinor {
+		idx := w.halo.layers[mu][end][0][i]
+		if end == 0 {
+			return latmath.Project(mu, +1, src[s*v4+idx])
+		}
+		return latmath.Project(mu, -1, src[s*v4+idx]).DagMulMat(w.G.Link(l.SiteOf(idx), mu))
+	})
+}
 
-// Name implements a DiracOperator-like interface for logging.
-func (d *DistWilson) Name() string { return "dist-wilson" }
-
-// ghostIndex maps a local face-site index (its position in the sorted
-// FaceSites list) — the packing order shared by sender and receiver.
-
-// exchangeHalos projects and ships all boundary faces, overlapping the
-// transfers with the bulk compute charge, then unpacks the ghosts.
-func (d *DistWilson) exchangeHalos(src *lattice.FermionField, computeCharge ppc440.KernelCost) {
-	p := d.ctx.P
-	n := d.ctx.N
-	var transfers []*scu.Transfer
+// hop returns Σ_mu (1-γ_mu)U_mu(x)ψ(x+mu) + (1+γ_mu)U†_mu(x-mu)ψ(x-mu)
+// at local site idx of slice s, reading off-node neighbours from the
+// ghosts of the last exchange.
+func (w *wilsonHop) hop(src []latmath.Spinor, s, idx int) latmath.Spinor {
+	l := w.dec.Local
+	v4 := l.Volume()
+	x := l.SiteOf(idx)
+	var acc latmath.Spinor
 	for mu := 0; mu < lattice.Ndim; mu++ {
-		if d.dec.Grid[mu] == 1 {
-			continue
+		distributed := w.dec.Grid[mu] > 1
+		if distributed && x[mu] == l[mu]-1 {
+			pos := facePos(w.halo.layers[mu][1][0], idx)
+			h := w.halo.ghostAt(mu, 1, s, 0, pos).MulMat(w.G.Link(x, mu))
+			acc = acc.Add(latmath.Reconstruct(mu, +1, h))
+		} else {
+			xp := l.Neighbor(x, mu, +1)
+			h := latmath.Project(mu, +1, src[s*v4+l.Index(xp)]).MulMat(w.G.Link(x, mu))
+			acc = acc.Add(latmath.Reconstruct(mu, +1, h))
 		}
-		// Receives first (idle receive would hold data anyway, but
-		// programming them early gives the zero-copy landing).
-		fv := len(d.faces[mu][0])
-		words := fv * latmath.HalfSpinorWords
-		rtF, err := d.comm.StartRecv(mu, geom.Fwd, scu.Contiguous(d.recvAddr[mu][1], words))
-		check(err)
-		rtB, err := d.comm.StartRecv(mu, geom.Bwd, scu.Contiguous(d.recvAddr[mu][0], words))
-		check(err)
-		transfers = append(transfers, rtF, rtB)
+		if distributed && x[mu] == 0 {
+			pos := facePos(w.halo.layers[mu][0][0], idx)
+			acc = acc.Add(latmath.Reconstruct(mu, -1, w.halo.ghostAt(mu, 0, s, 0, pos))) // link applied by sender
+		} else {
+			xm := l.Neighbor(x, mu, -1)
+			h := latmath.Project(mu, -1, src[s*v4+l.Index(xm)]).DagMulMat(w.G.Link(xm, mu))
+			acc = acc.Add(latmath.Reconstruct(mu, -1, h))
+		}
+	}
+	return acc
+}
 
-		// Low face: project (1-γ_mu)ψ, receiver applies its U.
-		var buf [latmath.HalfSpinorWords]uint64
-		for i, idx := range d.faces[mu][0] {
-			h := latmath.Project(mu, +1, src.S[idx])
-			latmath.PackHalfSpinor(h, buf[:])
-			base := d.sendAddr[mu][0] + 8*uint64(i*latmath.HalfSpinorWords)
-			for k, w := range buf {
-				n.Mem.WriteWord(base+8*uint64(k), w)
-			}
-		}
-		stB, err := d.comm.StartSend(mu, geom.Bwd, scu.Contiguous(d.sendAddr[mu][0], words))
-		check(err)
-		// High face: project (1+γ_mu)ψ and apply U† here (the sender owns
-		// the link U_mu(x) for x on the high face).
-		for i, idx := range d.faces[mu][1] {
-			x := d.dec.Local.SiteOf(idx)
-			h := latmath.Project(mu, -1, src.S[idx]).DagMulMat(d.G.Link(x, mu))
-			latmath.PackHalfSpinor(h, buf[:])
-			base := d.sendAddr[mu][1] + 8*uint64(i*latmath.HalfSpinorWords)
-			for k, w := range buf {
-				n.Mem.WriteWord(base+8*uint64(k), w)
-			}
-		}
-		stF, err := d.comm.StartSend(mu, geom.Fwd, scu.Contiguous(d.sendAddr[mu][1], words))
-		check(err)
-		transfers = append(transfers, stB, stF)
-	}
-	// Overlap: the CPU works the volume while the DMA engines move the
-	// faces.
-	if d.timing {
-		n.Compute(p, computeCharge)
-	}
-	qmp.WaitAll(p, transfers...)
-	// Unpack ghosts.
-	var buf [latmath.HalfSpinorWords]uint64
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		if d.dec.Grid[mu] == 1 {
-			continue
-		}
-		for i := range d.ghostFwd[mu] {
-			base := d.recvAddr[mu][1] + 8*uint64(i*latmath.HalfSpinorWords)
-			for k := range buf {
-				buf[k] = n.Mem.ReadWord(base + 8*uint64(k))
-			}
-			d.ghostFwd[mu][i] = latmath.UnpackHalfSpinor(buf[:])
-			base = d.recvAddr[mu][0] + 8*uint64(i*latmath.HalfSpinorWords)
-			for k := range buf {
-				buf[k] = n.Mem.ReadWord(base + 8*uint64(k))
-			}
-			d.ghostBwd[mu][i] = latmath.UnpackHalfSpinor(buf[:])
+// applyDag computes dst = D† src = Γ D Γ src, where apply is D and Γ is
+// γ5 composed with the fifth-dimension reflection s → Ls-1-s (plain γ5
+// for the 4-D operators): Wilson, clover and domain-wall are all
+// Γ-Hermitian.
+func (w *wilsonHop) applyDag(dst, src []latmath.Spinor, apply func(dst, src []latmath.Spinor)) {
+	w.reflectGamma5(w.tmp, src)
+	apply(w.mid, w.tmp)
+	w.reflectGamma5(dst, w.mid)
+}
+
+func (w *wilsonHop) reflectGamma5(dst, src []latmath.Spinor) {
+	v4 := w.dec.LocalVolume()
+	for s := 0; s < w.ls; s++ {
+		rs := w.ls - 1 - s
+		for idx := 0; idx < v4; idx++ {
+			dst[s*v4+idx] = latmath.Gamma5.ApplySpin(src[rs*v4+idx])
 		}
 	}
 }
@@ -187,113 +131,131 @@ func facePos(faces []int, idx int) int {
 	return -1
 }
 
-// Apply computes dst = D src with halo exchange over the machine.
-func (d *DistWilson) Apply(dst, src *lattice.FermionField) {
-	l := d.dec.Local
-	charge := d.siteCost.Scale(float64(l.Volume()))
-	d.exchangeHalos(src, charge)
-	diag := complex(d.Mass+4, 0)
-	v := l.Volume()
-	for idx := 0; idx < v; idx++ {
-		x := l.SiteOf(idx)
-		var acc latmath.Spinor
-		for mu := 0; mu < lattice.Ndim; mu++ {
-			// +mu term: (1-γ)U_mu(x)ψ(x+mu).
-			if d.dec.Grid[mu] > 1 && x[mu] == l[mu]-1 {
-				pos := facePos(d.faces[mu][1], idx)
-				h := d.ghostFwd[mu][pos].MulMat(d.G.Link(x, mu))
-				acc = acc.Add(latmath.Reconstruct(mu, +1, h))
-			} else {
-				xp := l.Neighbor(x, mu, +1)
-				h := latmath.Project(mu, +1, src.S[l.Index(xp)]).MulMat(d.G.Link(x, mu))
-				acc = acc.Add(latmath.Reconstruct(mu, +1, h))
-			}
-			// -mu term: (1+γ)U†_mu(x-mu)ψ(x-mu).
-			if d.dec.Grid[mu] > 1 && x[mu] == 0 {
-				pos := facePos(d.faces[mu][0], idx)
-				h := d.ghostBwd[mu][pos] // link already applied by sender
-				acc = acc.Add(latmath.Reconstruct(mu, -1, h))
-			} else {
-				xm := l.Neighbor(x, mu, -1)
-				h := latmath.Project(mu, -1, src.S[l.Index(xm)]).DagMulMat(d.G.Link(xm, mu))
-				acc = acc.Add(latmath.Reconstruct(mu, -1, h))
-			}
-		}
-		dst.S[idx] = src.S[idx].Scale(diag).Sub(acc.Scale(0.5))
-	}
+// DistWilson is the distributed Wilson Dirac operator running on one
+// node of the machine; with a clover term (NewDistClover) it is the
+// clover-improved operator.
+type DistWilson struct {
+	wilsonHop
+	Mass float64
+	// clover is the site-local clover term, nil for plain Wilson.
+	clover [][4][4]latmath.Mat3
 }
+
+// NewDistWilson builds the operator on one node. localGauge is the
+// node's sub-volume of the configuration (normally produced by
+// ScatterGauge).
+func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, localGauge *lattice.GaugeField, mass float64, prec fermion.Precision) *DistWilson {
+	return newDistWilson(ctx, comm, dec, localGauge, mass, fermion.WilsonKind, prec)
+}
+
+func newDistWilson(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, localGauge *lattice.GaugeField, mass float64, kind fermion.OpKind, prec fermion.Precision) *DistWilson {
+	level := fermion.WorkingSetLevel(kind, prec, dec.LocalVolume())
+	charge := fermion.SiteCost(kind, prec, level).Scale(float64(dec.LocalVolume()))
+	return &DistWilson{wilsonHop: newWilsonHop(ctx, comm, dec, localGauge, 1, charge), Mass: mass}
+}
+
+// NewDistClover builds the clover-improved operator on one node: the
+// Wilson hopping term with halo exchange plus the site-local clover
+// term. ref must be the clover operator constructed on the global gauge
+// field; its term is precomputed there (as production codes do once per
+// configuration) and scattered here, so the per-iteration work — the
+// benchmarked part — runs entirely on-machine.
+func NewDistClover(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, localGauge *lattice.GaugeField, ref *fermion.Clover, prec fermion.Precision) *DistWilson {
+	d := newDistWilson(ctx, comm, dec, localGauge, ref.Mass, fermion.CloverKind, prec)
+	gc := GridCoord(comm.Coord())
+	d.clover = make([][4][4]latmath.Mat3, dec.LocalVolume())
+	for idx := range d.clover {
+		gs := dec.GlobalOf(gc, dec.Local.SiteOf(idx))
+		d.clover[idx] = ref.TermAt(ref.G.L.Index(gs))
+	}
+	return d
+}
+
+// Apply computes dst = D src with halo exchange over the machine.
+func (d *DistWilson) Apply(dst, src *lattice.FermionField) { d.apply(dst.S, src.S) }
 
 // ApplyDag computes dst = D† src = γ5 D γ5 src.
-func (d *DistWilson) ApplyDag(dst, src *lattice.FermionField) {
-	l := d.dec.Local
-	tmp := lattice.NewFermionField(l)
-	for i := range src.S {
-		tmp.S[i] = latmath.Gamma5.ApplySpin(src.S[i])
-	}
-	mid := lattice.NewFermionField(l)
-	d.Apply(mid, tmp)
-	for i := range mid.S {
-		dst.S[i] = latmath.Gamma5.ApplySpin(mid.S[i])
-	}
-}
+func (d *DistWilson) ApplyDag(dst, src *lattice.FermionField) { d.applyDag(dst.S, src.S, d.apply) }
 
-// DistSpace is the solver vector space for distributed spinor fields:
-// local BLAS plus machine-wide reductions through the SCU global-sum
-// hardware, each charged to the CPU model.
-func DistSpace(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, kind fermion.OpKind, prec fermion.Precision) solverSpace {
-	level := fermion.WorkingSetLevel(kind, prec, dec.LocalVolume())
-	axpyCharge := fermion.AXPYCost(kind, prec, level).Scale(float64(dec.LocalVolume()))
-	dotCharge := fermion.DotCost(kind, prec, level).Scale(float64(dec.LocalVolume()))
-	return solverSpace{
-		ctx:        ctx,
-		comm:       comm,
-		local:      dec.Local,
-		axpyCharge: axpyCharge,
-		dotCharge:  dotCharge,
-		iterAt:     new(event.Time),
-	}
-}
-
-// solverSpace carries the shared pieces; concrete Space[T] adapters are
-// built in session.go.
-type solverSpace struct {
-	ctx        *node.Ctx
-	comm       *qmp.Comm
-	local      lattice.Shape4
-	axpyCharge ppc440.KernelCost
-	dotCharge  ppc440.KernelCost
-	// iterAt remembers (through the value-type copies the Space adapters
-	// make) the simulated time of the previous iteration hook, so
-	// noteIteration can histogram per-iteration sim time.
-	iterAt *event.Time
-}
-
-func (s solverSpace) globalSum(x float64) float64 {
-	s.ctx.N.Compute(s.ctx.P, s.dotCharge)
-	return s.comm.GlobalSumFloat64(s.ctx.P, x)
-}
-
-func (s solverSpace) chargeAXPY() {
-	s.ctx.N.Compute(s.ctx.P, s.axpyCharge)
-}
-
-// noteIteration feeds the solver's per-iteration hook into the node's
-// telemetry counters (no-op with telemetry disabled): the iteration
-// count, and the simulated time since the previous iteration into the
-// CG-iteration histogram.
-func (s solverSpace) noteIteration() {
-	ctr := s.ctx.N.Counters()
-	if ctr == nil {
-		return
-	}
-	ctr.SolverIterations++
-	now := s.ctx.P.Now()
-	if s.iterAt != nil {
-		if *s.iterAt != 0 {
-			ctr.IterTime.Record(uint64(now - *s.iterAt))
+func (d *DistWilson) apply(dst, src []latmath.Spinor) {
+	d.exchange(src)
+	diag := complex(d.Mass+4, 0)
+	for idx := range dst {
+		out := src[idx].Scale(diag).Sub(d.hop(src, 0, idx).Scale(0.5))
+		if d.clover != nil {
+			var extra latmath.Spinor
+			for a := 0; a < 4; a++ {
+				for b := 0; b < 4; b++ {
+					m := &d.clover[idx][a][b]
+					if *m == latmath.Zero3() {
+						continue
+					}
+					extra[a] = extra[a].Add(m.MulVec(src[idx][b]))
+				}
+			}
+			out = out.Add(extra)
 		}
-		*s.iterAt = now
+		dst[idx] = out
 	}
+}
+
+// DistDWF is the distributed domain-wall operator: the Wilson hopping
+// term with its halo exchange on each of the Ls fifth-dimension slices
+// (the fifth dimension stays node-local — QCDOC could also map it onto
+// a machine axis; see DESIGN.md's future-work list), plus the
+// slice-coupling terms. The gauge field is shared by all slices, which
+// is the data reuse behind the DWF kernel's high efficiency (§4).
+type DistDWF struct {
+	wilsonHop
+	M5 float64
+	Mf float64
+}
+
+// NewDistDWF builds the operator on one node.
+func NewDistDWF(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, localGauge *lattice.GaugeField, m5, mf float64, ls int, prec fermion.Precision) *DistDWF {
+	v4 := dec.LocalVolume()
+	level := fermion.WorkingSetLevel(fermion.DWFKind, prec, v4*ls)
+	charge := fermion.DWFSiteCost(prec, level, ls).Scale(float64(v4 * ls))
+	return &DistDWF{wilsonHop: newWilsonHop(ctx, comm, dec, localGauge, ls, charge), M5: m5, Mf: mf}
+}
+
+// Apply computes dst = D src with halo exchange.
+func (d *DistDWF) Apply(dst, src *fermion.Field5) { d.apply(dst.S, src.S) }
+
+// ApplyDag computes dst = D† src = R γ5 D γ5 R src.
+func (d *DistDWF) ApplyDag(dst, src *fermion.Field5) { d.applyDag(dst.S, src.S, d.apply) }
+
+func (d *DistDWF) apply(dst, src []latmath.Spinor) {
+	d.exchange(src)
+	v4 := d.dec.LocalVolume()
+	diag := complex(-d.M5+4+1, 0)
+	mf := complex(d.Mf, 0)
+	for s := 0; s < d.ls; s++ {
+		for idx := 0; idx < v4; idx++ {
+			out := src[s*v4+idx].Scale(diag).Sub(d.hop(src, s, idx).Scale(0.5))
+			if up := s + 1; up < d.ls {
+				out = out.Sub(projMinus5(src[up*v4+idx]))
+			} else {
+				out = out.AXPY(mf, projMinus5(src[idx]))
+			}
+			if dn := s - 1; dn >= 0 {
+				out = out.Sub(projPlus5(src[dn*v4+idx]))
+			} else {
+				out = out.AXPY(mf, projPlus5(src[(d.ls-1)*v4+idx]))
+			}
+			dst[s*v4+idx] = out
+		}
+	}
+}
+
+func projPlus5(s latmath.Spinor) latmath.Spinor {
+	g5 := latmath.Gamma5.ApplySpin(s)
+	return s.Add(g5).Scale(0.5)
+}
+
+func projMinus5(s latmath.Spinor) latmath.Spinor {
+	g5 := latmath.Gamma5.ApplySpin(s)
+	return s.Sub(g5).Scale(0.5)
 }
 
 func check(err error) {

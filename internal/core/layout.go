@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"qcdoc/internal/fermion"
 	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 )
@@ -120,43 +121,58 @@ func ScatterGauge(global *lattice.GaugeField, dec lattice.Decomp, gc lattice.Sit
 // ScatterFermion extracts the local spinor field owned by grid node gc.
 func ScatterFermion(global *lattice.FermionField, dec lattice.Decomp, gc lattice.Site) *lattice.FermionField {
 	local := lattice.NewFermionField(dec.Local)
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		local.S[idx] = global.S[global.L.Index(gs)]
-	}
+	scatterSites(local.S, global.S, dec, gc)
 	return local
 }
 
 // GatherFermion writes a node's local spinor field into the global field.
 func GatherFermion(global *lattice.FermionField, dec lattice.Decomp, gc lattice.Site, local *lattice.FermionField) {
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		global.S[global.L.Index(gs)] = local.S[idx]
-	}
+	gatherSites(global.S, local.S, dec, gc)
 }
 
 // ScatterColor extracts the local staggered field owned by grid node gc.
 func ScatterColor(global *lattice.ColorField, dec lattice.Decomp, gc lattice.Site) *lattice.ColorField {
 	local := lattice.NewColorField(dec.Local)
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		local.V[idx] = global.V[global.L.Index(gs)]
-	}
+	scatterSites(local.V, global.V, dec, gc)
 	return local
 }
 
 // GatherColor writes a node's local staggered field into the global field.
 func GatherColor(global *lattice.ColorField, dec lattice.Decomp, gc lattice.Site, local *lattice.ColorField) {
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		global.V[global.L.Index(gs)] = local.V[idx]
+	gatherSites(global.V, local.V, dec, gc)
+}
+
+// scatterField5 extracts a node's local 5-D field.
+func scatterField5(global *fermion.Field5, dec lattice.Decomp, gc lattice.Site) *fermion.Field5 {
+	local := fermion.NewField5(dec.Local, global.Ls)
+	scatterSites(local.S, global.S, dec, gc)
+	return local
+}
+
+// gatherField5 writes a node's local 5-D field into the global one.
+func gatherField5(global *fermion.Field5, dec lattice.Decomp, gc lattice.Site, local *fermion.Field5) {
+	gatherSites(global.S, local.S, dec, gc)
+}
+
+// scatterSites copies grid node gc's sites of a global field into its
+// local field. Both are slice-major: one slice for 4-D fields, Ls for
+// domain-wall fields.
+func scatterSites[E any](local, global []E, dec lattice.Decomp, gc lattice.Site) {
+	v4l, v4g := dec.Local.Volume(), dec.Global.Volume()
+	for s := 0; s < len(local)/v4l; s++ {
+		for idx := 0; idx < v4l; idx++ {
+			local[s*v4l+idx] = global[s*v4g+dec.Global.Index(dec.GlobalOf(gc, dec.Local.SiteOf(idx)))]
+		}
+	}
+}
+
+// gatherSites is scatterSites' inverse: it writes a node's local field
+// into the global one.
+func gatherSites[E any](global, local []E, dec lattice.Decomp, gc lattice.Site) {
+	v4l, v4g := dec.Local.Volume(), dec.Global.Volume()
+	for s := 0; s < len(local)/v4l; s++ {
+		for idx := 0; idx < v4l; idx++ {
+			global[s*v4g+dec.Global.Index(dec.GlobalOf(gc, dec.Local.SiteOf(idx)))] = local[s*v4l+idx]
+		}
 	}
 }

@@ -1,23 +1,21 @@
 package core
 
 import (
-	"hash/fnv"
 	"testing"
 
 	"qcdoc/internal/fermion"
 	"qcdoc/internal/geom"
-	"qcdoc/internal/latmath"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
 )
 
-// shardedSolveDigest runs the E1/E10 Wilson solve on a sharded machine
-// and fingerprints everything observable: solution bits, network word
-// count, iteration count, and the simulated finish time.
-func shardedSolveDigest(t *testing.T, workers int) uint64 {
+// shardedSolveDigest runs one solve on a sharded machine and fingerprints
+// everything observable: solution bits, network word count, iteration
+// count, and the simulated finish time.
+func shardedSolveDigest(t *testing.T, workers int, shape geom.Shape, global lattice.Shape4,
+	run func(*testing.T, *Session, lattice.Shape4) (uint64, SolveMetrics)) uint64 {
 	t.Helper()
-	global := lattice.Shape4{4, 4, 2, 2}
-	cfg := machine.DefaultConfig(geom.MakeShape(2, 2, 2, 2))
+	cfg := machine.DefaultConfig(shape)
 	cfg.Shards = machine.ShardAuto
 	cfg.Workers = workers
 	sess, err := NewSessionConfig(cfg, global)
@@ -28,39 +26,17 @@ func shardedSolveDigest(t *testing.T, workers int) uint64 {
 	if sess.M.Cluster() == nil {
 		t.Fatal("sharded config built an unsharded machine")
 	}
-	gauge := lattice.NewGaugeField(global)
-	gauge.Randomize(21)
-	b := lattice.NewFermionField(global)
-	b.Gaussian(22)
-	x, met, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-10, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	mix := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	w := make([]uint64, 24)
-	for i := range x.S {
-		latmath.PackSpinor(x.S[i], w)
-		for _, v := range w {
-			mix(v)
-		}
-	}
-	mix(met.WordsSent)
-	mix(uint64(met.Iterations))
-	mix(uint64(met.SimTime))
-	return h.Sum64()
+	sol, met := run(t, sess, global)
+	var d wordDigest
+	d.add([]uint64{sol, met.WordsSent, uint64(met.Iterations), uint64(met.SimTime)})
+	return d.sum()
 }
 
 // TestShardDeterminismDigests is the worker-count-invariance gate: the
 // same seed must produce bit-identical outcomes at workers 1, 2, 4 and
-// 8, for both a clean distributed solve (E1/E10) and a full chaos
-// recovery run (E16) with the fault plan armed on the sharded engine.
+// 8, for a clean distributed solve of every operator (E1/E10 for
+// Wilson) and for a full chaos recovery run (E16) with the fault plan
+// armed on the sharded engine.
 // Workers choose OS threads, never physics.
 func TestShardDeterminismDigests(t *testing.T) {
 	if testing.Short() {
@@ -68,10 +44,68 @@ func TestShardDeterminismDigests(t *testing.T) {
 	}
 	workerCounts := []int{1, 2, 4, 8}
 
-	s0 := shardedSolveDigest(t, 1)
-	for _, w := range workerCounts[1:] {
-		if s := shardedSolveDigest(t, w); s != s0 {
-			t.Fatalf("solve digest at workers=%d: %#x, want %#x", w, s, s0)
+	// One small distributed solve per operator, returning the solution's
+	// bit digest with the solver metrics. ASQTAD runs on a 2x2x2 machine
+	// so every distributed direction keeps the local extent of 3 its
+	// Naik term needs.
+	solves := []struct {
+		op     string
+		shape  geom.Shape
+		global lattice.Shape4
+		run    func(t *testing.T, s *Session, global lattice.Shape4) (uint64, SolveMetrics)
+	}{
+		{"wilson", geom.MakeShape(2, 2, 2, 2), lattice.Shape4{4, 4, 2, 2}, func(t *testing.T, s *Session, global lattice.Shape4) (uint64, SolveMetrics) {
+			gauge := lattice.NewGaugeField(global)
+			gauge.Randomize(21)
+			b := lattice.NewFermionField(global)
+			b.Gaussian(22)
+			x, met, err := s.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-10, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return spinorDigest(x.S), met
+		}},
+		{"clover", geom.MakeShape(2, 2, 2, 2), lattice.Shape4{4, 4, 2, 2}, func(t *testing.T, s *Session, global lattice.Shape4) (uint64, SolveMetrics) {
+			gauge := lattice.NewGaugeField(global)
+			gauge.Randomize(23)
+			b := lattice.NewFermionField(global)
+			b.Gaussian(24)
+			x, met, err := s.SolveClover(fermion.NewClover(gauge, 0.5, 1.0), b, fermion.Double, 1e-10, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return spinorDigest(x.S), met
+		}},
+		{"asqtad", geom.MakeShape(2, 2, 2), lattice.Shape4{6, 6, 6, 2}, func(t *testing.T, s *Session, global lattice.Shape4) (uint64, SolveMetrics) {
+			gauge := lattice.NewGaugeField(global)
+			gauge.Randomize(25)
+			b := lattice.NewColorField(global)
+			b.Gaussian(26)
+			x, met, err := s.SolveASQTAD(fermion.NewASQTAD(gauge, 0.5), b, fermion.Double, 1e-10, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return colorDigest(x.V), met
+		}},
+		{"dwf", geom.MakeShape(2, 2, 2, 2), lattice.Shape4{4, 4, 2, 2}, func(t *testing.T, s *Session, global lattice.Shape4) (uint64, SolveMetrics) {
+			gauge := lattice.NewGaugeField(global)
+			gauge.Randomize(27)
+			b := fermion.NewField5(global, 4)
+			b.Gaussian(28)
+			x, met, err := s.SolveDWF(gauge, b, 1.8, 0.1, 4, fermion.Double, 1e-10, 3000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return spinorDigest(x.S), met
+		}},
+	}
+
+	for _, c := range solves {
+		s0 := shardedSolveDigest(t, 1, c.shape, c.global, c.run)
+		for _, w := range workerCounts[1:] {
+			if s := shardedSolveDigest(t, w, c.shape, c.global, c.run); s != s0 {
+				t.Fatalf("%s solve digest at workers=%d: %#x, want %#x", c.op, w, s, s0)
+			}
 		}
 	}
 
